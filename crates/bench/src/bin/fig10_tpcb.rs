@@ -2,15 +2,18 @@
 //!
 //! `SCALE=1.0 TXNS=200000 cargo run --release -p tdb-bench --bin fig10_tpcb`
 //! reproduces the paper's run sizes (200 000 transactions, mean over the
-//! later 100 000). Default is a faster SCALE=0.1 / TXNS=40000 run whose
-//! shape matches. The in-text §7.4 claim about bytes written per
-//! transaction is reported alongside.
+//! later 100 000). Default is a faster SCALE=0.1 / TXNS=40000 run. The
+//! paper's shape (TDB < TDB-S < BerkeleyDB) is computed from the measured
+//! means, pair by pair, printed with any violated pair as `VIOLATED`, and
+//! emitted as `shape` in `BENCH_fig10_tpcb.json`. The in-text §7.4 claim
+//! about bytes written per transaction is reported alongside.
 
 use std::sync::Arc;
 use tdb::obs::{Json, RegistrySnapshot};
 use tdb::{ChunkStoreConfig, DatabaseConfig, SecurityMode};
 use tdb_bench::telemetry::{
-    bench_doc, counters_json, histograms_json, latency_ms_json, push_result, write_bench_json,
+    bench_doc, counters_json, histograms_json, latency_ms_json, push_result, shape_json,
+    write_bench_json,
 };
 use tdb_bench::{env_f64, env_u64};
 use tdb_platform::{DirStore, MemStore, UntrustedStore};
@@ -234,6 +237,25 @@ fn maintenance_json(s: &chunk_store::StatsSnapshot) -> Json {
     o
 }
 
+/// Print the measured shape verdict: one line per ordered pair, a
+/// violated pair as `VIOLATED`, then the overall verdict.
+fn print_shape(shape: &Json) {
+    let text = |v: Option<&Json>| v.and_then(Json::as_str).unwrap_or("?").to_string();
+    println!("shape check: {}", text(shape.get("claim")));
+    for p in shape.get("pairs").and_then(Json::as_arr).unwrap_or(&[]) {
+        let holds = p.get("holds") == Some(&Json::Bool(true));
+        let slower = text(p.get("slower"));
+        println!(
+            "  {} < {slower}: {:.0}% of {slower}'s, {}",
+            text(p.get("faster")),
+            100.0 * p.get("ratio").and_then(Json::as_f64).unwrap_or(f64::NAN),
+            if holds { "holds" } else { "VIOLATED" }
+        );
+    }
+    let holds = shape.get("holds") == Some(&Json::Bool(true));
+    println!("shape: {}", if holds { "holds" } else { "VIOLATED" });
+}
+
 /// A chunk configuration that forces the cleaner to run continuously under
 /// the TPC-B update stream: small segments, a low checkpoint threshold, and
 /// tight free-segment watermarks. Only `background_maintenance` differs
@@ -311,7 +333,15 @@ fn main() {
         );
     }
     println!();
-    println!("shape check: TDB < TDB-S < BerkeleyDB in response time, as in the paper.");
+    let shape = shape_json(
+        "TDB < TDB-S < BerkeleyDB in mean response time (paper Figure 10)",
+        &[
+            ("TDB", tdb_report.avg_response_ms),
+            ("TDB-S", tdbs_report.avg_response_ms),
+            ("BerkeleyDB", bdb_report.avg_response_ms),
+        ],
+    );
+    print_shape(&shape);
 
     // Multi-threaded group-commit comparison. Group commit amortizes the
     // *durable* half of a commit — the log sync and the anchor/counter
@@ -367,11 +397,10 @@ fn main() {
 
     // Maintenance tail-latency comparison: the same threaded workload on a
     // file-backed store with cleaning forced active, differing only in
-    // where maintenance runs. Inline maintenance (the pre-thread behavior)
-    // charges whole cleaning passes and checkpoints to whichever commit
-    // trips the trigger — visible as the p99/p999 response-time tail —
-    // while the background thread keeps the commit path to watermark
-    // checks and kicks.
+    // where the one maintenance round runs. Inline, whichever commit trips
+    // the trigger pays for the round's checkpoint and cleaning passes —
+    // visible as the p99/p999 response-time tail — while the background
+    // thread keeps the commit path to watermark checks and kicks.
     let maint = if threads > 1 {
         let mt_cfg = TpcbConfig {
             threads,
@@ -428,6 +457,7 @@ fn main() {
     config.push("threads", threads as u64);
     config.push("shards", shards as u64);
     let mut doc = bench_doc("fig10_tpcb", config);
+    doc.push("shape", shape);
     push_result(&mut doc, result_row("BerkeleyDB", &bdb_report, None));
     push_result(&mut doc, result_row("TDB", &tdb_report, Some(&tdb_obs)));
     push_result(&mut doc, result_row("TDB-S", &tdbs_report, Some(&tdbs_obs)));

@@ -82,6 +82,36 @@ pub fn counters_json(snap: &RegistrySnapshot) -> Json {
     o
 }
 
+/// Verdict of an ordering claim over measured values where lower is
+/// better (e.g. mean response time), listed in the claimed order:
+/// `[("TDB", a), ("TDB-S", b), ("BerkeleyDB", c)]` claims `a < b < c`.
+/// Every pair is checked — not just adjacent ones — so the document says
+/// exactly which part of the claim the run violated. Rendered as the
+/// top-level `shape` object of a bench document (see
+/// [`validate_bench_doc`]): `{claim, holds, pairs: [{faster, slower,
+/// ratio, holds}]}`, with `ratio` = faster ÷ slower.
+pub fn shape_json(claim: &str, ordered: &[(&str, f64)]) -> Json {
+    let mut pairs = Vec::new();
+    let mut all = true;
+    for (i, (faster, a)) in ordered.iter().enumerate() {
+        for (slower, b) in &ordered[i + 1..] {
+            let holds = a < b;
+            all &= holds;
+            let mut p = Json::obj();
+            p.push("faster", *faster);
+            p.push("slower", *slower);
+            p.push("ratio", a / b.max(f64::MIN_POSITIVE));
+            p.push("holds", holds);
+            pairs.push(p);
+        }
+    }
+    let mut o = Json::obj();
+    o.push("claim", claim);
+    o.push("holds", all);
+    o.push("pairs", Json::array(pairs));
+    o
+}
+
 /// Write `doc` to `<results_dir>/BENCH_<name>.json` (pretty-printed),
 /// creating the directory if needed. Returns the path written.
 pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<PathBuf> {
@@ -121,7 +151,12 @@ pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<PathBuf> {
 ///   any `group_size_mean` is numeric (mean commits amortized per durable
 ///   group-commit sync over the row's measurement window);
 /// - any `per_shard` field is an array of objects with only numeric values
-///   (one entry per shard: commit counts, group-commit sizes, ...).
+///   (one entry per shard: commit counts, group-commit sizes, ...);
+/// - a top-level `shape` (optional; see [`shape_json`]) is an object with
+///   a string `claim`, a boolean `holds` and a non-empty `pairs` array whose
+///   entries carry string `faster`/`slower`, a numeric `ratio` and a
+///   boolean `holds`; the top-level `holds` must be true exactly when every
+///   pair holds, so a document cannot report a shape it did not verify.
 pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     let obj = doc.as_obj().ok_or("top level is not an object")?;
     let field = |k: &str| {
@@ -139,6 +174,9 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     let bench = field("bench")?.as_str().ok_or("bench is not a string")?;
     if bench.is_empty() {
         return Err("bench name is empty".into());
+    }
+    if let Ok(shape) = field("shape") {
+        validate_shape(shape).map_err(|e| format!("shape: {e}"))?;
     }
     let results = field("results")?
         .as_arr()
@@ -216,6 +254,38 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+fn validate_shape(v: &Json) -> Result<(), String> {
+    let as_bool = |v: Option<&Json>| match v {
+        Some(Json::Bool(b)) => Some(*b),
+        _ => None,
+    };
+    if v.get("claim").and_then(Json::as_str).is_none() {
+        return Err("claim missing or not a string".into());
+    }
+    let holds = as_bool(v.get("holds")).ok_or("holds missing or not a boolean")?;
+    let pairs = v
+        .get("pairs")
+        .and_then(Json::as_arr)
+        .filter(|p| !p.is_empty())
+        .ok_or("pairs missing, empty or not an array")?;
+    let mut all = true;
+    for (j, p) in pairs.iter().enumerate() {
+        for key in ["faster", "slower"] {
+            if p.get(key).and_then(Json::as_str).is_none() {
+                return Err(format!("pairs[{j}].{key} missing or not a string"));
+            }
+        }
+        if p.get("ratio").and_then(Json::as_f64).is_none() {
+            return Err(format!("pairs[{j}].ratio missing or not numeric"));
+        }
+        all &= as_bool(p.get("holds")).ok_or(format!("pairs[{j}].holds not a boolean"))?;
+    }
+    if holds != all {
+        return Err(format!("holds is {holds} but the pairs say {all}"));
+    }
+    Ok(())
+}
+
 fn validate_latency(v: &Json) -> Result<(), String> {
     let o = v.as_obj().ok_or("latency_ms is not an object")?;
     for key in ["count", "p50", "p95", "p99"] {
@@ -284,6 +354,42 @@ mod tests {
         validate_bench_doc(&doc).unwrap();
         let parsed = Json::parse(&doc.pretty()).unwrap();
         validate_bench_doc(&parsed).unwrap();
+    }
+
+    #[test]
+    fn shape_verdict_checks_every_pair() {
+        let holds = shape_json("a < b < c", &[("a", 1.0), ("b", 2.0), ("c", 3.0)]);
+        assert_eq!(holds.get("holds"), Some(&Json::Bool(true)));
+        assert_eq!(
+            holds.get("pairs").and_then(Json::as_arr).map(|p| p.len()),
+            Some(3)
+        );
+
+        // b and c swapped: only the pair (b, c) is violated.
+        let violated = shape_json("a < b < c", &[("a", 1.0), ("b", 3.0), ("c", 2.0)]);
+        assert_eq!(violated.get("holds"), Some(&Json::Bool(false)));
+        let broken: Vec<_> = violated
+            .get("pairs")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|p| p.get("holds") == Some(&Json::Bool(false)))
+            .map(|p| {
+                (
+                    p.get("faster").unwrap().as_str(),
+                    p.get("slower").unwrap().as_str(),
+                )
+            })
+            .collect();
+        assert_eq!(broken, vec![(Some("b"), Some("c"))]);
+
+        // Both verdicts are well-formed documents; a violated shape is a
+        // finding, not a schema error.
+        for shape in [holds, violated] {
+            let mut doc = sample_doc();
+            doc.push("shape", shape);
+            validate_bench_doc(&doc).unwrap();
+        }
     }
 
     #[test]

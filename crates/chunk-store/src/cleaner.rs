@@ -4,9 +4,9 @@
 //! obsolete. Periodically, obsolete chunk versions must be reclaimed by a
 //! log cleaner." (paper §3.2.1)
 //!
-//! A pass is three phases, so the background maintenance thread can run it
-//! incrementally (releasing the store lock between relocation slices)
-//! while the synchronous path runs all three under one lock hold:
+//! A pass is three phases, which `maintenance::incremental_pass` drives
+//! for every pass — on the maintenance thread or a committing thread —
+//! releasing the store lock between relocation slices:
 //!
 //! 1. [`select_victims`] settles accounting with a durable anchor
 //!    (pending-dead extents are subtracted; nothing nondurable remains
@@ -39,18 +39,6 @@ use crate::stats::add;
 use crate::store::Inner;
 use crate::ChunkId;
 use std::collections::HashSet;
-
-/// What a completed cleaning pass means for the caller. `Freed(0)` is not
-/// the same as `NoGarbage`: victims existed but could not be freed (all
-/// pinned mid-pass, or the pass's own checkpoint traffic re-used them), so
-/// an out-of-space caller must treat the round as *gave up*, not clean.
-pub(crate) enum CleanOutcome {
-    /// Nothing reclaimable: every in-use segment is the tail, residual,
-    /// pinned, or too full to be worth copying.
-    NoGarbage,
-    /// A pass ran to completion and freed this many segments.
-    Freed(usize),
-}
 
 /// The persistent state of one in-flight cleaning pass: victims chosen by
 /// [`select_victims`], chunk ids still to relocate. Locations are *not*
@@ -272,26 +260,4 @@ pub(crate) fn finish_pass(inner: &mut Inner, plan: &CleanPlan) -> Result<usize> 
         .segs
         .drop_excess_free(inner.cfg.free_segment_reserve)?;
     Ok(freed)
-}
-
-/// Run one synchronous cleaning pass under a continuous lock hold (the
-/// inline-maintenance path; the background thread drives the same three
-/// phases through `maintenance::incremental_pass`, unlocking between
-/// slices).
-pub(crate) fn clean_pass(inner: &mut Inner) -> Result<CleanOutcome> {
-    let mut sw = tdb_obs::Stopwatch::start();
-    let out = clean_pass_inner(inner);
-    if sw.running() {
-        inner.stats.phases.cleaner_pass.record(sw.lap());
-    }
-    out
-}
-
-fn clean_pass_inner(inner: &mut Inner) -> Result<CleanOutcome> {
-    let Some(mut plan) = select_victims(inner)? else {
-        return Ok(CleanOutcome::NoGarbage);
-    };
-    let slice = inner.cfg.maintenance_slice_chunks;
-    while !relocate_slice(inner, &mut plan, slice)? {}
-    finish_pass(inner, &plan).map(CleanOutcome::Freed)
 }

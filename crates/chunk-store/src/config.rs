@@ -72,21 +72,23 @@ pub struct ChunkStoreConfig {
     /// away; bounds on-disk size after bursts (Figure 11's "resulting
     /// database size").
     pub free_segment_reserve: usize,
-    /// Run checkpointing and cleaning on a dedicated maintenance thread.
-    /// Commits only kick the thread (watermark checks are cheap); the
-    /// thread relocates in bounded slices, releasing the store lock
-    /// between slices so committers interleave. When false, maintenance
-    /// runs inline on the committing thread (the pre-thread behavior,
-    /// kept for deterministic tests and the tail-latency baseline).
+    /// Where the maintenance round (checkpointing and cleaning) runs. When
+    /// true, on a dedicated maintenance thread: commits only check the
+    /// watermarks and kick it. When false, on the committing thread that
+    /// trips the trigger — deterministic for single-threaded tests and the
+    /// torture sweep, and the tail-latency baseline. Trigger, target and
+    /// stop rule are the same either way, and every pass relocates in
+    /// bounded slices, releasing the store lock between them.
     pub background_maintenance: bool,
-    /// Low watermark: the maintenance thread starts cleaning when the
+    /// Low watermark: a maintenance round starts cleaning when the
     /// free-segment count falls below this (and utilization permits).
     pub clean_low_free: usize,
     /// High watermark: cleaning passes continue until the free-segment
-    /// count reaches this (or no garbage remains).
+    /// count reaches this, no garbage remains, or a pass fails to raise
+    /// the count.
     pub clean_high_free: usize,
     /// Chunks relocated per maintenance slice. Bounds how long the store
-    /// lock is held by one slice of a background cleaning pass.
+    /// lock is held by one slice of a cleaning pass.
     pub maintenance_slice_chunks: usize,
     /// Recompute the proof-tree digests of all dirty root-to-leaf map
     /// paths in one batched bottom-up pass after each durable anchor

@@ -1,23 +1,34 @@
-//! The background maintenance thread: checkpointing and cleaning off the
-//! commit path.
+//! Maintenance: checkpointing and cleaning, in one round that runs either
+//! on a dedicated thread or on the committing thread.
 //!
-//! Committers never run maintenance when `background_maintenance` is on —
-//! the group-commit leader only checks two cheap watermarks after its
-//! round and *kicks* this thread:
+//! [`round`] is the only maintenance round. [`needs_round`] is its trigger,
+//! evaluated after every durable commit:
 //!
 //! * residual log ≥ `checkpoint_threshold` → checkpoint;
 //! * free segments < `clean_low_free` (and utilization ≤ the configured
-//!   maximum) → clean until `clean_high_free` free segments exist or no
-//!   garbage remains.
+//!   maximum) → clean toward `clean_high_free` free segments.
+//!
+//! `background_maintenance` decides only *where* the round runs: with it
+//! on, the group-commit leader just kicks the maintenance thread; with it
+//! off, the committer runs the round itself (deterministic: a
+//! single-threaded caller sees no interleaving between slices). What the
+//! round does — trigger, target, stop rule — is the same either way.
 //!
 //! A cleaning pass runs *incrementally*: victim selection, then bounded
 //! relocation slices of `maintenance_slice_chunks` chunks each — the
 //! store lock is released between slices so committers interleave — then
 //! the closing checkpoint and the frees. Each slice re-checks snapshot
 //! pins and chunk locations, so commits and snapshots taken mid-pass are
-//! always honored (see `cleaner`). Crash-safety is unchanged from the
-//! synchronous cleaner: only the closing checkpoint anchors the
+//! always honored (see `cleaner`). Only the closing checkpoint anchors the
 //! relocations, so an abandoned pass is just dead log tail.
+//!
+//! The round's stop rule is net progress: a pass that did not raise the
+//! free-segment count above the best the round has seen ends the round
+//! (`maintenance_gave_up`). That covers a pass that freed nothing (victims
+//! pinned) and a pass whose closing checkpoint consumed the segments it
+//! freed — the case where a map-heavy store otherwise cleans its own
+//! checkpoint traffic forever. Every pass that continues the round raises
+//! the free count toward the high watermark, so a round is bounded.
 //!
 //! Backpressure: a committer that hits `OutOfSpace` kicks the thread and
 //! blocks on [`MaintShared`]'s progress condvar until segments are freed
@@ -32,7 +43,10 @@
 //! (mid-round, from the pass's closing checkpoint), not just at round end —
 //! the round-granular notify was the 1-CPU release hang: a waiter could
 //! sleep a full timeout (and, bounded at 8 tries, surface a spurious
-//! `OutOfSpace`) while free segments already existed.
+//! `OutOfSpace`) while free segments already existed. Without a thread, a
+//! stalled committer runs the round itself; a round that finds another
+//! pass in flight (a manual `clean()`, another committer's round) waits
+//! for it to end and then re-checks, rather than reporting no progress.
 //!
 //! The thread also polls the [`tdb_obs::watchdog`] between kicks: when any
 //! registered operation (commit, stall, cross-shard commit) exceeds the
@@ -46,7 +60,7 @@
 use crate::cleaner::{self, CleanPlan};
 use crate::error::Result;
 use crate::stats::add;
-use crate::store::StoreCore;
+use crate::store::{Inner, StoreCore};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -73,8 +87,9 @@ struct MaintState {
     rehash_kick: bool,
     shutdown: bool,
     thread_running: bool,
-    /// Completed maintenance rounds (bumped even for fruitless ones, so
-    /// stalled committers re-check instead of sleeping forever).
+    /// Completed maintenance rounds, on the thread or inline (bumped even
+    /// for fruitless ones, so stalled committers re-check instead of
+    /// sleeping forever).
     rounds: u64,
     /// Bumped (with a notify) every time segments are freed — including
     /// mid-round — so stalled committers wake at the first free, not at
@@ -159,6 +174,15 @@ impl MaintShared {
         }
         let mut st = self.state.lock();
         st.free_epoch += 1;
+        self.progress.notify_all();
+    }
+
+    /// A round ended: advance the round epoch and wake every stalled
+    /// committer.
+    fn note_round_end(&self, freed: u64) {
+        let mut st = self.state.lock();
+        st.rounds += 1;
+        st.last_round_freed = freed;
         self.progress.notify_all();
     }
 
@@ -320,41 +344,13 @@ pub(crate) fn run(core: Arc<StoreCore>) {
         }
         if kicked {
             add(&core.stats.maintenance_wakeups, 1);
-            let round = core.maint.state.lock().rounds;
-            trace::emit(TraceLayer::Maint, TraceKind::MaintRound, 0, round, 0);
             // A store failure here (the untrusted store erroring) is not
             // fatal to the thread: the round's work stays retryable (the
             // closing checkpoint is the only anchored truth), committers
             // see the same error on their own operations, and the
             // backpressure path surfaces persistent out-of-space as an
-            // error.
-            let freed = match one_round(&core) {
-                Ok(n) => n,
-                Err(e) => {
-                    // Not fatal to the thread (see the comment above), but
-                    // it must not be invisible either: record it in the
-                    // flight recorder and, when asked, on stderr.
-                    let free = core.inner.lock().segs.free_count();
-                    trace::emit(
-                        TraceLayer::Maint,
-                        TraceKind::MaintError,
-                        0,
-                        round,
-                        free as u64,
-                    );
-                    if std::env::var_os("TDB_MAINT_DEBUG").is_some() {
-                        eprintln!("tdb-maint: round {round} failed (free={free}): {e}");
-                    }
-                    0
-                }
-            };
-            trace::emit(TraceLayer::Maint, TraceKind::MaintRoundEnd, 0, round, freed);
-            {
-                let mut st = core.maint.state.lock();
-                st.rounds += 1;
-                st.last_round_freed = freed;
-                core.maint.progress.notify_all();
-            }
+            // error. The round itself records the failure.
+            let _ = round(&core, &|| !core.maint.shutdown_requested());
         }
         // Poll the stall watchdog on every wakeup (kick or timer): commits
         // and stalls register in the global in-flight table, and this
@@ -363,10 +359,42 @@ pub(crate) fn run(core: Arc<StoreCore>) {
     }
 }
 
-/// One maintenance round: checkpoint if the residual log is long, then
-/// clean up to the high watermark, one incremental pass at a time.
-/// Returns the number of segments freed.
-fn one_round(core: &StoreCore) -> Result<u64> {
+/// The maintenance trigger: the residual log reached
+/// `checkpoint_threshold`, or free segments fell below the low watermark
+/// while utilization permits cleaning.
+pub(crate) fn needs_round(inner: &Inner) -> bool {
+    inner.residual_bytes >= inner.cfg.checkpoint_threshold
+        || (inner.segs.free_count() < inner.cfg.effective_low_free()
+            && inner.segs.utilization() <= inner.cfg.max_utilization)
+}
+
+/// One maintenance round, run by the maintenance thread or by a committer
+/// (see the module docs): checkpoint if the residual log is long, then
+/// clean toward the high watermark, one incremental pass at a time, until
+/// a pass makes no net progress. `keep_going` is polled before every
+/// slice; returning `false` abandons the round (the thread's shutdown).
+/// Every round's end — fruitless, failed or not — advances the round
+/// epoch stalled committers wait on.
+pub(crate) fn round(core: &StoreCore, keep_going: &dyn Fn() -> bool) -> Result<()> {
+    let n = core.maint.state.lock().rounds;
+    trace::emit(TraceLayer::Maint, TraceKind::MaintRound, 0, n, 0);
+    let result = checkpoint_and_clean(core, keep_going);
+    if let Err(e) = &result {
+        // Committers see store errors on their own operations; record the
+        // round's in the flight recorder and, when asked, on stderr.
+        let free = core.inner.lock().segs.free_count();
+        trace::emit(TraceLayer::Maint, TraceKind::MaintError, 0, n, free as u64);
+        if std::env::var_os("TDB_MAINT_DEBUG").is_some() {
+            eprintln!("tdb-maint: round {n} failed (free={free}): {e}");
+        }
+    }
+    let freed = *result.as_ref().unwrap_or(&0);
+    trace::emit(TraceLayer::Maint, TraceKind::MaintRoundEnd, 0, n, freed);
+    core.maint.note_round_end(freed);
+    result.map(|_| ())
+}
+
+fn checkpoint_and_clean(core: &StoreCore, keep_going: &dyn Fn() -> bool) -> Result<u64> {
     let mut total_freed = 0u64;
     let covered = {
         let mut inner = core.inner.lock();
@@ -387,9 +415,11 @@ fn one_round(core: &StoreCore) -> Result<u64> {
     if let Some(covered) = covered {
         core.publish_durable(covered);
     }
+    // The most free segments the round has reached; a pass must beat it.
+    let mut best = core.inner.lock().segs.free_count();
     let mut forced_checkpoint = false;
     loop {
-        if core.maint.shutdown_requested() {
+        if !keep_going() {
             return Ok(total_freed);
         }
         {
@@ -400,7 +430,7 @@ fn one_round(core: &StoreCore) -> Result<u64> {
                 return Ok(total_freed);
             }
         }
-        match incremental_pass(core, &mut |_| !core.maint.shutdown_requested())? {
+        match incremental_pass(core, &mut |_| keep_going())? {
             PassResult::NoGarbage => {
                 // The garbage may all sit in still-residual segments (no
                 // checkpoint since it was made), which the cleaner skips.
@@ -416,27 +446,43 @@ fn one_round(core: &StoreCore) -> Result<u64> {
                     }
                     forced_checkpoint = true;
                     inner.do_checkpoint()?;
+                    best = inner.segs.free_count();
                     inner.commit_seq
                 };
                 core.publish_durable(covered);
             }
-            PassResult::Abandoned => return Ok(total_freed),
-            PassResult::Freed(0) => {
-                // Victims existed but none could be freed (pinned, or
-                // re-used by the pass's own checkpoint); retrying
-                // immediately would spin. The next kick retries.
-                add(&core.stats.maintenance_gave_up, 1);
-                return Ok(total_freed);
+            PassResult::Busy => {
+                // Another pass (a manual `clean()`, or another committer's
+                // inline round) holds the victims; wait it out, then
+                // re-check the watermarks against what it freed.
+                let mut inner = core.inner.lock();
+                while inner.pass_active {
+                    core.pass_done.wait(&mut inner);
+                }
             }
-            PassResult::Freed(n) => total_freed += n as u64,
+            PassResult::Abandoned => return Ok(total_freed),
+            PassResult::Freed(n) => {
+                total_freed += n as u64;
+                let free = core.inner.lock().segs.free_count();
+                if free <= best {
+                    // No net progress: the victims were pinned, or the
+                    // closing checkpoint consumed what the pass freed. The
+                    // next pass would do the same; the next trigger retries.
+                    add(&core.stats.maintenance_gave_up, 1);
+                    return Ok(total_freed);
+                }
+                best = free;
+            }
         }
     }
 }
 
 /// How an incremental pass ended.
 pub(crate) enum PassResult {
-    /// Nothing to clean (or another pass is already in flight).
+    /// Nothing to clean.
     NoGarbage,
+    /// Another pass is already in flight; this one did not start.
+    Busy,
     /// The pass completed; this many segments were freed.
     Freed(usize),
     /// `keep_going` said stop (shutdown); the relocations already
@@ -457,9 +503,10 @@ pub(crate) fn incremental_pass(
     let mut plan = {
         let mut inner = core.inner.lock();
         if inner.pass_active {
-            // A concurrent pass (manual `clean()` racing the thread) is
-            // already doing this work; don't double-free its victims.
-            return Ok(PassResult::NoGarbage);
+            // A concurrent pass (manual `clean()` racing a round, or two
+            // committers' inline rounds) is already doing this work;
+            // don't double-free its victims.
+            return Ok(PassResult::Busy);
         }
         slice_cap = inner.cfg.maintenance_slice_chunks;
         match cleaner::select_victims(&mut inner)? {
@@ -472,6 +519,7 @@ pub(crate) fn incremental_pass(
     };
     let result = drive_slices(core, &mut plan, slice_cap, keep_going);
     core.inner.lock().pass_active = false;
+    core.pass_done.notify_all();
     if sw.running() {
         core.stats.phases.cleaner_pass.record(sw.lap());
     }

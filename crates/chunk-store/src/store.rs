@@ -18,12 +18,12 @@
 //!   group is just consecutive chained commit records under one anchor;
 //! * a *nondurable* commit only flushes and is discarded by recovery until
 //!   a later durable commit covers it;
-//! * the residual log is checkpointed when it exceeds the configured
-//!   threshold, and the cleaner runs when free space runs out while
+//! * after a durable commit, a maintenance round (see `maintenance`)
+//!   checkpoints once the residual log exceeds the configured threshold
+//!   and cleans once free segments fall below the low watermark while
 //!   utilization is below the configured maximum (§3.2.1).
 
 use crate::anchor::{AnchorState, AnchorStore};
-use crate::cleaner;
 use crate::config::{ChunkStoreConfig, SecurityMode};
 use crate::crypto_ctx::CryptoCtx;
 use crate::error::{ChunkStoreError, Result};
@@ -621,63 +621,6 @@ impl Inner {
         Ok(())
     }
 
-    /// Post-durable-commit housekeeping: checkpoint when the residual log
-    /// is long; clean when free space ran out but garbage exists. The
-    /// outcome distinguishes "nothing left to reclaim" from "gave up with
-    /// the store still out of free segments" — a caller on the
-    /// out-of-space backpressure path must not read the latter as success.
-    pub(crate) fn maintain(&mut self) -> Result<MaintainOutcome> {
-        let mut out = MaintainOutcome {
-            freed: 0,
-            gave_up: false,
-        };
-        if self.residual_bytes >= self.cfg.checkpoint_threshold {
-            self.do_checkpoint()?;
-        }
-        // Clean until a free segment exists (or there is provably nothing
-        // to reclaim). A single bounded pass can free less than its own
-        // checkpoint traffic consumed on map-heavy workloads, which would
-        // grow the database without bound — so "a pass freed nothing" and
-        // "no garbage" must part ways here: the former ends the round as
-        // `gave_up`, not as success.
-        let mut passes = 0;
-        let mut forced_checkpoint = false;
-        while self.segs.free_count() <= self.cfg.maintenance_reserve()
-            && self.segs.utilization() <= self.cfg.max_utilization
-        {
-            if passes >= 16 {
-                out.gave_up = true;
-                add(&self.stats.maintenance_gave_up, 1);
-                break;
-            }
-            passes += 1;
-            match cleaner::clean_pass(self)? {
-                cleaner::CleanOutcome::NoGarbage => {
-                    // Every in-use segment may simply still be residual
-                    // (no checkpoint since the garbage was made). Under
-                    // genuine space pressure, shrink the residual set once
-                    // and retry before concluding there is no garbage.
-                    if !forced_checkpoint && self.residual_segments.len() > 1 {
-                        forced_checkpoint = true;
-                        self.do_checkpoint()?;
-                        continue;
-                    }
-                    break;
-                }
-                cleaner::CleanOutcome::Freed(0) => {
-                    // Victims existed but none could be freed (pinned by a
-                    // snapshot, or re-used by the pass's own checkpoint);
-                    // an immediate retry would pick the same victims.
-                    out.gave_up = true;
-                    add(&self.stats.maintenance_gave_up, 1);
-                    break;
-                }
-                cleaner::CleanOutcome::Freed(n) => out.freed += n,
-            }
-        }
-        Ok(out)
-    }
-
     pub(crate) fn prune_snapshots(&mut self) {
         self.snapshots.retain(|w| w.strong_count() > 0);
     }
@@ -695,15 +638,6 @@ impl Inner {
         self.snapshots.push(Arc::downgrade(&core));
         Snapshot { core }
     }
-}
-
-/// What [`Inner::maintain`] accomplished.
-pub(crate) struct MaintainOutcome {
-    /// Segments freed by cleaning passes this round.
-    pub(crate) freed: usize,
-    /// The round ended with `free_count() == 0` even though garbage
-    /// existed (victims pinned, or the pass cap was hit).
-    pub(crate) gave_up: bool,
 }
 
 /// Entropy for the IV stream: wall-clock nanoseconds. Combined with the
@@ -770,8 +704,12 @@ pub(crate) struct StoreCore {
     group_cv: Condvar,
     /// Handshake with the background maintenance thread (kick, stall,
     /// shutdown). Present even with `background_maintenance` off — the
-    /// thread is simply never spawned and commits maintain inline.
+    /// thread is simply never spawned and committers run the rounds.
     pub(crate) maint: MaintShared,
+    /// Signalled (with the store lock) whenever an incremental cleaning
+    /// pass ends and clears `Inner::pass_active`; a maintenance round that
+    /// finds another pass in flight waits here instead of giving up.
+    pub(crate) pass_done: Condvar,
     /// Frozen map root awaiting a batched Merkle memo pass, handed to the
     /// maintenance thread by the group-commit leader. Only the latest
     /// root matters — its memo pass covers every earlier round's dirty
@@ -1285,31 +1223,27 @@ impl StoreCore {
         out
     }
 
-    /// Post-commit housekeeping. With the maintenance thread running, the
-    /// committer pays a watermark check and (at most) a kick — the
-    /// checkpoint and cleaning happen off the commit path. Otherwise the
-    /// legacy inline behavior: this committer maintains under the lock.
+    /// Post-commit housekeeping: evaluate the maintenance trigger and, if
+    /// it fires, run [`maintenance::round`] — by kicking the maintenance
+    /// thread when one is running (the committer pays only the watermark
+    /// check), else on this committing thread.
     fn after_commit_maintenance(&self) -> Result<()> {
-        if self.maint.thread_running() {
-            let need = {
-                let inner = self.inner.lock();
-                inner.residual_bytes >= inner.cfg.checkpoint_threshold
-                    || (inner.segs.free_count() < inner.cfg.effective_low_free()
-                        && inner.segs.utilization() <= inner.cfg.max_utilization)
-            };
-            if need {
-                self.maint.kick();
-            }
+        if !maintenance::needs_round(&self.inner.lock()) {
             return Ok(());
         }
-        self.inner.lock().maintain().map(|_| ())
+        if self.maint.thread_running() {
+            self.maint.kick();
+            return Ok(());
+        }
+        maintenance::round(self, &|| true)
     }
 
     /// Commit-path backpressure: the append ran out of segments. Kick the
     /// maintenance thread and block for its progress — or, with no thread,
-    /// maintain inline — and say whether the caller should retry. `false`
-    /// means maintenance completed without yielding a free segment: a true
-    /// out-of-space condition, not a pacing artifact.
+    /// run the maintenance round on this thread — and say whether the
+    /// caller should retry. `false` means maintenance completed without
+    /// yielding a free segment: a true out-of-space condition, not a
+    /// pacing artifact.
     ///
     /// The wait is epoch-based to rule out lost wakeups (the ROADMAP's
     /// 1-CPU release hang): the progress epochs are snapshotted *before*
@@ -1342,10 +1276,14 @@ impl StoreCore {
         let mut idle_waits = 0u32;
         let retry = loop {
             if !seen.thread_running {
-                // No thread: this committer maintains inline.
-                let mut inner = self.inner.lock();
-                let out = inner.maintain()?;
-                break out.freed > 0 || inner.segs.free_count() > inner.cfg.maintenance_reserve();
+                // No thread: this committer runs the round itself. Any
+                // segment freed since `seen` — by this round or by another
+                // committer's pass it waited out, even if an append has
+                // taken it since — is progress worth a retry.
+                maintenance::round(self, &|| true)?;
+                let freed = self.maint.observe_and_kick().free_epoch != seen.free_epoch;
+                let inner = self.inner.lock();
+                break freed || inner.segs.free_count() > inner.cfg.maintenance_reserve();
             }
             // Check for space strictly *after* the epoch snapshot above:
             // any free or round completion since then advances an epoch,
@@ -1536,6 +1474,7 @@ impl ChunkStore {
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
             maint: MaintShared::new(),
+            pass_done: Condvar::new(),
             rehash_pending: Mutex::new(None),
             diag_label: Mutex::new(label.clone()),
             diag_keeper: Mutex::new(None),
@@ -1688,12 +1627,6 @@ impl ChunkStore {
         self.wait_durable(ticket)
     }
 
-    /// Deprecated boolean form of [`ChunkStore::commit_batch`].
-    #[deprecated(note = "pass `Durability::{Durable, Lazy}` to `commit_batch` instead")]
-    pub fn commit_batch_bool(&self, batch: WriteBatch, durable: bool) -> Result<()> {
-        self.commit_batch(batch, Durability::from(durable))
-    }
-
     /// First half of [`ChunkStore::commit_batch`]: seal and append the
     /// batch's commit record(s) to the log — the commit point — and
     /// return a ticket. Callers that must order other work (e.g. 2PL lock
@@ -1759,12 +1692,6 @@ impl ChunkStore {
         self.core.wait_ticket(ticket)
     }
 
-    /// Deprecated boolean form of [`ChunkStore::commit`].
-    #[deprecated(note = "pass `Durability::{Durable, Lazy}` to `commit` instead")]
-    pub fn commit_bool(&self, durable: bool) -> Result<()> {
-        self.commit(Durability::from(durable))
-    }
-
     /// Drop all staged single-handle operations and return batch-allocated
     /// ids to the free pool.
     pub fn discard(&self) {
@@ -1799,20 +1726,19 @@ impl ChunkStore {
     }
 
     /// Run one cleaner pass (normally automatic). Returns segments freed.
-    /// Runs the same incremental slice protocol as the maintenance
-    /// thread; if a background pass is already in flight this returns 0
-    /// rather than racing it for the victims.
+    /// Runs the same incremental slice protocol as every maintenance
+    /// round; if another pass is already in flight this returns 0 rather
+    /// than racing it for the victims.
     pub fn clean(&self) -> Result<usize> {
-        match maintenance::incremental_pass(&self.core, &mut |_| true)? {
-            PassResult::Freed(n) => Ok(n),
-            PassResult::NoGarbage | PassResult::Abandoned => Ok(0),
-        }
+        self.clean_incremental_with(&mut |_| {})
     }
 
     /// Drive one incremental cleaning pass, calling `between` with the
     /// store *unlocked* before every relocation slice after the first —
     /// a test hook for the mid-pass snapshot/commit interleavings the
-    /// background thread produces nondeterministically.
+    /// background thread produces nondeterministically. `between` runs
+    /// on the pass's own thread, so its commits must be lazy: a durable
+    /// one that trips inline maintenance would wait for this very pass.
     #[doc(hidden)]
     pub fn clean_incremental_with(&self, between: &mut dyn FnMut(usize)) -> Result<usize> {
         let mut hook = |slice: usize| {
@@ -1823,7 +1749,7 @@ impl ChunkStore {
         };
         match maintenance::incremental_pass(&self.core, &mut hook)? {
             PassResult::Freed(n) => Ok(n),
-            PassResult::NoGarbage | PassResult::Abandoned => Ok(0),
+            PassResult::NoGarbage | PassResult::Busy | PassResult::Abandoned => Ok(0),
         }
     }
 

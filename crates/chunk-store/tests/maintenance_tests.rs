@@ -2,7 +2,8 @@
 //! checkpointing off the commit path, mid-pass snapshot pinning (TOCTOU),
 //! error-path accounting of a failed closing checkpoint, and the
 //! commit-latency bugfixes (phase-lap pollution, anchor/counter rollback,
-//! gave-up-vs-clean maintenance outcomes).
+//! gave-up-vs-clean maintenance outcomes), the maintenance round's
+//! net-progress stop rule, and inline rounds waiting out an in-flight pass.
 
 use chunk_store::Durability;
 use chunk_store::{ChunkId, ChunkStore, ChunkStoreConfig, SecurityMode};
@@ -546,4 +547,211 @@ fn backpressure_under_background_cleaning() {
     let store = open_on(Arc::new(mem), &counter, &cfg);
     assert_eq!(store.read(a).unwrap(), 598u32.to_le_bytes().repeat(64));
     assert_eq!(store.read(b).unwrap(), 599u32.to_le_bytes().repeat(64));
+}
+
+/// Completed maintenance rounds, from the store's diagnostic state.
+fn maintenance_rounds(store: &ChunkStore) -> u64 {
+    store
+        .diag_state()
+        .get("maintenance")
+        .and_then(|m| m.get("rounds"))
+        .and_then(|r| r.as_u64())
+        .expect("diag state reports maintenance rounds")
+}
+
+/// Livelock regression. On a map-heavy store with tiny segments, every
+/// cleaning pass frees a segment and its closing checkpoint takes one
+/// back: the rewritten map pages fill the tail, and the checkpoint trims
+/// free segments to `free_segment_reserve` (2), below the high watermark
+/// (3). The pages it rewrites leave fresh garbage behind, so there is
+/// always another victim. A round that kept going on every pass that freed
+/// a segment cleaned its own checkpoint traffic forever — long after the
+/// writer stopped — with committers contending for the store lock against
+/// it. The round must instead end on the first pass that does not raise
+/// the free count: commits finish within a deadline,
+/// `maintenance_gave_up` advances, and once the writer stops the thread
+/// goes quiet.
+#[test]
+fn map_heavy_round_ends_when_a_pass_makes_no_net_progress() {
+    const CHUNKS: usize = 600;
+    const TOUCH: usize = 30;
+    let cfg = ChunkStoreConfig {
+        security: SecurityMode::Off,
+        background_maintenance: true,
+        cleaner_batch: 1,
+        clean_low_free: 3,
+        clean_high_free: 3,
+        max_utilization: 0.95,
+        // Only the cleaner's closing checkpoints rewrite the map.
+        checkpoint_threshold: 1 << 30,
+        // 4 KiB segments, 8-entry map pages, free_segment_reserve 2.
+        ..ChunkStoreConfig::small_for_tests()
+    };
+    let counter = VolatileCounter::new();
+    let store = create_on(Arc::new(MemStore::new()), &counter, &cfg);
+
+    // Many tiny chunks: the location map, not the data, dominates the log.
+    let mut ids = Vec::new();
+    let mut expected: Vec<u32> = (0..CHUNKS as u32).collect();
+    for i in 0..CHUNKS {
+        let id = store.allocate_chunk_id().unwrap();
+        store
+            .write(id, &(i as u32).to_le_bytes().repeat(4))
+            .unwrap();
+        ids.push(id);
+        if i % 50 == 49 {
+            store.commit(Durability::Durable).unwrap();
+        }
+    }
+    store.commit(Durability::Durable).unwrap();
+    let base = store.stats();
+    let rounds_before = maintenance_rounds(&store);
+
+    // Each commit rewrites chunks spread across the whole id space, so it
+    // dirties a distinct map leaf per chunk.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for c in 0..2000usize {
+        for k in 0..TOUCH {
+            let slot = (c * 7919 + k * (CHUNKS / TOUCH)) % CHUNKS;
+            let v = (CHUNKS + c) as u32;
+            store.write(ids[slot], &v.to_le_bytes().repeat(4)).unwrap();
+            expected[slot] = v;
+        }
+        let t = Instant::now();
+        store.commit(Durability::Durable).unwrap();
+        assert!(
+            t.elapsed() < Duration::from_secs(2),
+            "commit {c} stalled for {:?} behind maintenance",
+            t.elapsed()
+        );
+        assert!(Instant::now() < deadline, "writer starved at commit {c}");
+    }
+
+    // The writer stopped: no more kicks, so the last round must end and the
+    // cleaner fall silent.
+    let quiet_by = Instant::now() + Duration::from_secs(10);
+    let at_stop = store.stats().cleaner_passes;
+    let mut passes = at_stop;
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = store.stats().cleaner_passes;
+        if now == passes {
+            break;
+        }
+        assert!(
+            Instant::now() < quiet_by,
+            "maintenance round never returned: {} passes since the writer stopped",
+            now - at_stop
+        );
+        passes = now;
+    }
+    let delta = store.stats().since(&base);
+    assert!(delta.cleaner_passes > 0, "the cleaner must have run");
+    assert!(
+        delta.maintenance_gave_up > 0,
+        "fruitless passes must end rounds as gave-up: {delta:?}"
+    );
+    assert!(
+        maintenance_rounds(&store) > rounds_before + 1,
+        "rounds must complete, not run on"
+    );
+    for (slot, id) in ids.iter().enumerate() {
+        assert_eq!(
+            store.read(*id).unwrap(),
+            expected[slot].to_le_bytes().repeat(4)
+        );
+    }
+}
+
+/// Inline maintenance, fixed-size log: a committer that runs out of
+/// segments while another thread's cleaning pass is in flight finds that
+/// pass holding the victims. Its round must wait the pass out and then
+/// clean for itself — never report out-of-space because it could not
+/// start a pass of its own. The pass is held open between two slices
+/// until the committer has stalled, so the overlap is forced.
+#[test]
+fn stalled_inline_committer_waits_out_an_inflight_pass() {
+    let cfg = ChunkStoreConfig {
+        security: SecurityMode::Off,
+        allow_growth: false,
+        initial_segments: 8,
+        maintenance_slice_chunks: 1,
+        // Lazy overwrites stay counted live until a durable anchor
+        // settles them; don't let that refuse the cleaning.
+        max_utilization: 0.95,
+        ..ChunkStoreConfig::small_for_tests()
+    };
+    let counter = VolatileCounter::new();
+    let mem = MemStore::new();
+    let store = create_on(Arc::new(mem.clone()), &counter, &cfg);
+
+    // Garbage-heavy, checkpointed start: half the chunks overwritten, so
+    // the pass below has partial victims to relocate slice by slice.
+    let mut ids = Vec::new();
+    for i in 0..24u32 {
+        let id = store.allocate_chunk_id().unwrap();
+        store.write(id, &i.to_le_bytes().repeat(75)).unwrap();
+        ids.push(id);
+    }
+    store.commit(Durability::Durable).unwrap();
+    for (i, id) in ids.iter().enumerate() {
+        if i % 2 == 0 {
+            store
+                .write(*id, &(i as u32 + 500).to_le_bytes().repeat(60))
+                .unwrap();
+        }
+    }
+    store.commit(Durability::Durable).unwrap();
+    store.checkpoint().unwrap();
+    let hot = ids[1];
+    let stalls_before = store.stats().maintenance_stalls;
+
+    let last = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            // Lazy overwrites take no maintenance until an append runs out
+            // of segments and stalls.
+            let mut batch = store.begin_batch();
+            let mut n = 0u32;
+            loop {
+                batch.write(hot, &n.to_le_bytes().repeat(250)).unwrap();
+                store
+                    .commit_batch(batch, Durability::Lazy)
+                    .unwrap_or_else(|e| panic!("commit {n} failed: {e}"));
+                batch = store.begin_batch();
+                if store.stats().maintenance_stalls > stalls_before {
+                    break n;
+                }
+                n += 1;
+            }
+        });
+        let mut held = false;
+        store
+            .clean_incremental_with(&mut |_slice| {
+                if !held {
+                    held = true;
+                    // The pass is in flight and the store unlocked: wait
+                    // until the writer's append has stalled behind it.
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    while store.stats().maintenance_stalls == stalls_before {
+                        assert!(Instant::now() < deadline, "writer never stalled");
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                }
+            })
+            .unwrap();
+        writer.join().unwrap()
+    });
+    assert!(store.stats().maintenance_stalls > stalls_before);
+    store.commit(Durability::Durable).unwrap();
+    drop(store);
+    let store = open_on(Arc::new(mem), &counter, &cfg);
+    assert_eq!(store.read(hot).unwrap(), last.to_le_bytes().repeat(250));
+    for (i, id) in ids.iter().enumerate().filter(|(i, _)| *i != 1) {
+        let want = if i % 2 == 0 {
+            (i as u32 + 500).to_le_bytes().repeat(60)
+        } else {
+            (i as u32).to_le_bytes().repeat(75)
+        };
+        assert_eq!(store.read(*id).unwrap(), want);
+    }
 }

@@ -79,13 +79,6 @@ impl CTransaction {
         self.txn.commit(durability).map_err(CollectionError::from)
     }
 
-    /// Deprecated bool-flavoured commit; use
-    /// [`commit`](CTransaction::commit) with a [`Durability`].
-    #[deprecated(note = "use commit(Durability::{Durable, Lazy}) instead")]
-    pub fn commit_bool(self, durable: bool) -> Result<()> {
-        self.commit(Durability::from(durable))
-    }
-
     /// Abort the transaction.
     pub fn abort(self) {
         self.txn.abort()

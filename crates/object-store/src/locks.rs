@@ -307,6 +307,16 @@ impl LockManager {
                 break Wait::Granted;
             }
         };
+        // Classify a timeout while our own wait edge is still in the graph
+        // (walking it locks every shard, so ours is released meanwhile):
+        // a peer timing out in the same instant then still sees the cycle,
+        // instead of both sides finding it already dismantled.
+        let deadlocked = matches!(outcome, Wait::TimedOut) && {
+            drop(table);
+            let cycle = self.was_deadlocked(txn, oid.0);
+            table = shard.table.lock();
+            cycle
+        };
         table.waiting.remove(&txn);
         table.doomed.remove(&txn);
         sw.lap_into(&self.obs.wait_time);
@@ -325,11 +335,8 @@ impl LockManager {
                 Err(ObjectStoreError::Deadlock(oid))
             }
             Wait::TimedOut => {
-                // Classify without the shard mutex: the wait-for graph may
-                // span shards, and snapshotting them all while holding one
-                // would order shard locks against each other.
                 drop(table);
-                if self.was_deadlocked(txn, oid.0) {
+                if deadlocked {
                     self.obs.timeouts_deadlock.inc();
                     tdb_obs::trace::emit(
                         TraceLayer::Object,

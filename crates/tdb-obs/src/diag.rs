@@ -162,9 +162,13 @@ pub fn write_dump(dump: &Json, slug: &str) -> std::io::Result<Option<PathBuf>> {
         "tdb-diag-{unix_ms}-p{}-{seq}-{slug}.json",
         std::process::id()
     ));
-    let mut f = std::fs::File::create(&path)?;
+    // Written under a temporary name and renamed into place, so a reader
+    // polling the directory never parses a half-written dump.
+    let tmp = path.with_extension("json.tmp");
+    let mut f = std::fs::File::create(&tmp)?;
     f.write_all(dump.pretty().as_bytes())?;
     f.sync_all()?;
+    std::fs::rename(&tmp, &path)?;
     Ok(Some(path))
 }
 

@@ -20,6 +20,7 @@ fn validator_accepts_wellformed_and_rejects_malformed() {
       "schema_version": 1,
       "bench": "synthetic",
       "config": {"scale": 0.1},
+      "shape": {"claim": "TDB < TDB-S", "holds": true, "pairs": [{"faster": "TDB", "slower": "TDB-S", "ratio": 0.5, "holds": true}]},
       "results": [
         {
           "system": "TDB",
@@ -64,6 +65,22 @@ fn validator_accepts_wellformed_and_rejects_malformed() {
         }
     };
     corrupt(&|t| t.replace("\"schema_version\": 1", "\"schema_version\": 2"));
+    // The shape verdict must be well-formed and agree with its pairs.
+    corrupt(&|t| {
+        t.replace(
+            "\"TDB < TDB-S\", \"holds\": true",
+            "\"TDB < TDB-S\", \"holds\": false",
+        )
+    });
+    corrupt(&|t| {
+        t.replace(
+            "\"ratio\": 0.5, \"holds\": true",
+            "\"ratio\": 0.5, \"holds\": false",
+        )
+    });
+    corrupt(&|t| t.replace("\"ratio\": 0.5", "\"ratio\": \"half\""));
+    corrupt(&|t| t.replace("\"faster\": \"TDB\"", "\"faster\": 1"));
+    corrupt(&|t| t.replace("\"claim\": \"TDB < TDB-S\", ", ""));
     corrupt(&|t| t.replace("\"bench\": \"synthetic\"", "\"bench\": \"\""));
     corrupt(&|t| t.replace("\"p99\": 4.0", "\"p99\": \"fast\""));
     corrupt(&|t| t.replace("\"sum\": 345678", "\"sum\": null"));
